@@ -3,9 +3,10 @@
 // The paper's pipeline had to chew through ~11 hours of captures; this
 // bench verifies the C++ implementation handles capture-scale inputs at
 // interactive speed: APDU encode/decode, tolerant stream parsing, TCP
-// reassembly, and the full analyzer.
+// reassembly, bandwidth accounting, and the full analyzer.
 #include <benchmark/benchmark.h>
 
+#include "analysis/bandwidth.hpp"
 #include "analysis/dataset.hpp"
 #include "core/analyzer.hpp"
 #include "iec104/parser.hpp"
@@ -130,6 +131,42 @@ void BM_DatasetBuildReassembled(benchmark::State& state) {
                           static_cast<std::int64_t>(capture.packets.size()));
 }
 BENCHMARK(BM_DatasetBuildReassembled)->Unit(benchmark::kMillisecond);
+
+// Bandwidth layer, decode + account: the standalone pass the sharded path
+// and streaming admission run.
+void BM_BandwidthAddPacket(benchmark::State& state) {
+  const auto& capture = capture_120s();
+  for (auto _ : state) {
+    analysis::BandwidthAccumulator acc;
+    for (const auto& pkt : capture.packets) acc.add_packet(pkt);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(capture.packets.size()));
+}
+BENCHMARK(BM_BandwidthAddPacket)->Unit(benchmark::kMillisecond);
+
+// Bandwidth layer, accounting only: what the single-builder path adds to
+// the DatasetBuilder's own decode.
+void BM_BandwidthAddDecoded(benchmark::State& state) {
+  const auto& capture = capture_120s();
+  std::vector<net::DecodedFrame> frames(capture.packets.size());
+  std::vector<bool> ok(capture.packets.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ok[i] = net::decode_frame_into(capture.packets[i].data, frames[i]);
+  }
+  for (auto _ : state) {
+    analysis::BandwidthAccumulator acc;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      acc.add_decoded(capture.packets[i].ts, capture.packets[i].data.size(),
+                      ok[i] ? &frames[i] : nullptr);
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frames.size()));
+}
+BENCHMARK(BM_BandwidthAddDecoded)->Unit(benchmark::kMillisecond);
 
 void BM_FullAnalyzer(benchmark::State& state) {
   const auto& capture = capture_120s();

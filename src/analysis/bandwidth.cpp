@@ -1,9 +1,8 @@
 #include "analysis/bandwidth.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
-
-#include "net/frame.hpp"
 
 namespace uncharted::analysis {
 
@@ -71,13 +70,20 @@ BandwidthAccumulator::BandwidthAccumulator(double bucket_seconds)
 
 void BandwidthAccumulator::add_packet(Timestamp ts,
                                       std::span<const std::uint8_t> data) {
+  net::DecodedFrame frame;
+  add_decoded(ts, data.size(),
+              net::decode_frame_into(data, frame) ? &frame : nullptr);
+}
+
+void BandwidthAccumulator::add_decoded(Timestamp ts, std::size_t frame_size,
+                                       const net::DecodedFrame* frame) {
   if (!have_start_) {
     start_ts_ = ts;
     have_start_ = true;
   }
-  net::DecodedFrame frame;
-  if (!net::decode_frame_into(data, frame)) return;
-  TapProtocol proto = classify(frame);
+  if (frame == nullptr) return;
+  const auto proto = classify(*frame);
+  const auto p = static_cast<std::size_t>(proto);
   // A packet stamped before the capture start (reordered tap, or a forged
   // timestamp) collapses into bucket 0; unsigned subtraction would
   // otherwise wrap to a ~580,000-year offset.
@@ -88,7 +94,7 @@ void BandwidthAccumulator::add_packet(Timestamp ts,
   }
   const double t = static_cast<double>(bucket_index) * bucket_seconds_;
 
-  auto& buckets = series_[proto];
+  auto& buckets = series_[p];
   RateBucket* slot = nullptr;
   if (buckets.empty() || buckets.back().t_seconds < t) {
     // Zero-fill short silences so contiguous traffic plots densely, but a
@@ -109,8 +115,10 @@ void BandwidthAccumulator::add_packet(Timestamp ts,
     }
     buckets.push_back(RateBucket{t, 0, 0});
     slot = &buckets.back();
+  } else if (buckets.back().t_seconds == t) {
+    slot = &buckets.back();  // the common case: the current bucket
   } else {
-    // At or before the tail: the bucket usually exists (dense fill), but a
+    // Before the tail: the bucket usually exists (dense fill), but a
     // reordered packet can land in an elided gap — insert it in place.
     auto it = std::lower_bound(
         buckets.begin(), buckets.end(), t,
@@ -120,14 +128,22 @@ void BandwidthAccumulator::add_packet(Timestamp ts,
     }
     slot = &*it;
   }
-  slot->bytes += data.size();
+  slot->bytes += frame_size;
   ++slot->packets;
-  total_bytes_[proto] += data.size();
-  ++total_packets_[proto];
+  seen_ |= static_cast<std::uint8_t>(1u << p);
+  total_bytes_[p] += frame_size;
+  ++total_packets_[p];
 
-  connection_bytes_[net::FlowKey{frame.ip.src, frame.tcp.src_port, frame.ip.dst,
-                                 frame.tcp.dst_port}
-                        .canonical()] += frame.payload.size();
+  const net::FlowKey key = net::FlowKey{frame->ip.src, frame->tcp.src_port,
+                                        frame->ip.dst, frame->tcp.dst_port}
+                               .canonical();
+  const std::uint64_t hash = net::flow_key_hash(key);
+  std::uint64_t* bytes = connection_cache_.find(key, hash);
+  if (bytes == nullptr) {
+    bytes = &connection_bytes_[key];
+    connection_cache_.put(key, hash, bytes);
+  }
+  *bytes += frame->payload.size();
 
   if (proto == TapProtocol::kIec104) {
     // A reordered packet would wrap the unsigned gap into an astronomical
@@ -144,9 +160,13 @@ BandwidthReport BandwidthAccumulator::finish() const {
   BandwidthReport out;
   out.bucket_seconds = bucket_seconds_;
   out.start_ts = start_ts_;
-  out.series = series_;
-  out.total_bytes = total_bytes_;
-  out.total_packets = total_packets_;
+  for (std::size_t p = 0; p < kProtocols; ++p) {
+    if ((seen_ & (1u << p)) == 0) continue;
+    const auto proto = static_cast<TapProtocol>(p);
+    out.series.emplace(proto, series_[p]);
+    out.total_bytes.emplace(proto, total_bytes_[p]);
+    out.total_packets.emplace(proto, total_packets_[p]);
+  }
   out.iec104_interarrival_s = iec104_interarrival_s_;
   out.top_connections.assign(connection_bytes_.begin(), connection_bytes_.end());
   std::sort(out.top_connections.begin(), out.top_connections.end(),
@@ -155,25 +175,31 @@ BandwidthReport BandwidthAccumulator::finish() const {
   return out;
 }
 
+// Checkpoint layout: each per-protocol section is a count, then one (u8
+// tag, value) entry per seen protocol in ascending tag order. Restores of
+// older checkpoints depend on it (pinned in bandwidth_test).
 void BandwidthAccumulator::save(ByteWriter& w) const {
+  const auto seen_count = static_cast<std::uint32_t>(std::popcount(seen_));
   w.f64le(bucket_seconds_);
   w.u8(have_start_ ? 1 : 0);
   w.u64le(start_ts_);
-  w.u32le(static_cast<std::uint32_t>(series_.size()));
-  for (const auto& [proto, buckets] : series_) {
-    w.u8(static_cast<std::uint8_t>(proto));
-    w.u32le(static_cast<std::uint32_t>(buckets.size()));
-    for (const auto& b : buckets) {
+  w.u32le(seen_count);
+  for (std::size_t p = 0; p < kProtocols; ++p) {
+    if ((seen_ & (1u << p)) == 0) continue;
+    w.u8(static_cast<std::uint8_t>(p));
+    w.u32le(static_cast<std::uint32_t>(series_[p].size()));
+    for (const auto& b : series_[p]) {
       w.f64le(b.t_seconds);
       w.u64le(b.bytes);
       w.u64le(b.packets);
     }
   }
-  auto save_totals = [&w](const std::map<TapProtocol, std::uint64_t>& m) {
-    w.u32le(static_cast<std::uint32_t>(m.size()));
-    for (const auto& [proto, v] : m) {
-      w.u8(static_cast<std::uint8_t>(proto));
-      w.u64le(v);
+  auto save_totals = [&](const std::array<std::uint64_t, kProtocols>& totals) {
+    w.u32le(seen_count);
+    for (std::size_t p = 0; p < kProtocols; ++p) {
+      if ((seen_ & (1u << p)) == 0) continue;
+      w.u8(static_cast<std::uint8_t>(p));
+      w.u64le(totals[p]);
     }
   };
   save_totals(total_bytes_);
@@ -197,14 +223,28 @@ Status BandwidthAccumulator::load(ByteReader& r) {
   have_start_ = have_start.value() != 0;
   start_ts_ = start.value();
 
+  // Reads one protocol tag, rejecting any value TapProtocol does not name.
+  auto read_tag = [&r]() -> Result<std::size_t> {
+    auto tag = r.u8();
+    if (!tag) return tag.error();
+    if (tag.value() >= kProtocols) {
+      return Error{"bandwidth-state",
+                   "protocol tag " + std::to_string(tag.value()) + " out of range"};
+    }
+    return static_cast<std::size_t>(tag.value());
+  };
+
   auto series_count = r.u32le();
   if (!series_count) return series_count.error();
-  series_.clear();
+  seen_ = 0;
+  for (auto& buckets : series_) buckets.clear();
   for (std::uint32_t i = 0; i < series_count.value(); ++i) {
-    auto proto = r.u8();
+    auto p = read_tag();
+    if (!p) return p.error();
     auto bucket_count = r.u32le();
     if (!bucket_count) return bucket_count.error();
-    auto& buckets = series_[static_cast<TapProtocol>(proto.value())];
+    seen_ |= static_cast<std::uint8_t>(1u << p.value());
+    auto& buckets = series_[p.value()];
     buckets.reserve(bucket_count.value());
     for (std::uint32_t j = 0; j < bucket_count.value(); ++j) {
       auto t = r.f64le();
@@ -215,15 +255,21 @@ Status BandwidthAccumulator::load(ByteReader& r) {
     }
   }
 
-  auto load_totals = [&r](std::map<TapProtocol, std::uint64_t>& m) -> Status {
+  auto load_totals = [&](std::array<std::uint64_t, kProtocols>& totals) -> Status {
     auto count = r.u32le();
     if (!count) return count.error();
-    m.clear();
+    totals.fill(0);
+    std::uint8_t listed = 0;
     for (std::uint32_t i = 0; i < count.value(); ++i) {
-      auto proto = r.u8();
+      auto p = read_tag();
+      if (!p) return p.error();
       auto v = r.u64le();
       if (!v) return v.error();
-      m[static_cast<TapProtocol>(proto.value())] = v.value();
+      listed |= static_cast<std::uint8_t>(1u << p.value());
+      totals[p.value()] = v.value();
+    }
+    if (listed != seen_) {
+      return Error{"bandwidth-state", "totals and series name different protocols"};
     }
     return Status::Ok();
   };
@@ -233,6 +279,7 @@ Status BandwidthAccumulator::load(ByteReader& r) {
   auto conn_count = r.u32le();
   if (!conn_count) return conn_count.error();
   connection_bytes_.clear();
+  connection_cache_.invalidate();
   for (std::uint32_t i = 0; i < conn_count.value(); ++i) {
     auto key = net::FlowKey::load(r);
     if (!key) return key.error();

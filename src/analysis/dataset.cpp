@@ -5,6 +5,8 @@
 #include <numeric>
 #include <set>
 
+#include "analysis/bandwidth.hpp"
+
 namespace uncharted::analysis {
 
 EndpointPair EndpointPair::of(net::Ipv4Addr x, net::Ipv4Addr y) {
@@ -16,13 +18,6 @@ CaptureDataset CaptureDataset::build(const std::vector<net::CapturedPacket>& pac
                                      const Options& options) {
   DatasetBuilder builder(options);
   for (const auto& pkt : packets) builder.add_packet(pkt);
-  return builder.finish();
-}
-
-CaptureDataset CaptureDataset::build(std::span<const net::FrameView> frames,
-                                     const Options& options) {
-  DatasetBuilder builder(options);
-  builder.add_packets(frames);
   return builder.finish();
 }
 
@@ -169,7 +164,11 @@ void DatasetBuilder::add_packet_impl(Timestamp ts,
   ++stats_.packets;
   last_ts_ = ts;
   net::DecodedFrame frame_storage;
-  if (!net::decode_frame_into(data, frame_storage)) {
+  const bool decoded = net::decode_frame_into(data, frame_storage);
+  if (bandwidth_ != nullptr) {
+    bandwidth_->add_decoded(ts, data.size(), decoded ? &frame_storage : nullptr);
+  }
+  if (!decoded) {
     ++stats_.undecodable_frames;
     ++stats_.degradation.undecodable_frames;
     return;

@@ -119,6 +119,7 @@ struct EndpointPair {
 };
 
 struct ShardPartial;
+class BandwidthAccumulator;
 
 class CaptureDataset {
  public:
@@ -146,10 +147,6 @@ class CaptureDataset {
   static CaptureDataset build(const std::vector<net::CapturedPacket>& packets) {
     return build(packets, Options{});
   }
-  /// Zero-copy build over frame views (spans into an mmap'd capture or
-  /// owning packets; the backing bytes must outlive the call).
-  static CaptureDataset build(std::span<const net::FrameView> frames,
-                              const Options& options);
 
   const DatasetStats& stats() const { return stats_; }
   const net::FlowTable& flow_table() const { return flows_; }
@@ -285,6 +282,12 @@ class DatasetBuilder {
   /// depend on how the driver batched the input.
   void add_packets(std::span<const net::FrameView> frames);
 
+  /// Feeds every ingested frame's bandwidth accounting from the decode
+  /// this builder already does, so the caller need not decode the capture
+  /// a second time. Caller-owned and not checkpointed (save it beside the
+  /// builder); nullptr detaches.
+  void set_bandwidth_sink(BandwidthAccumulator* sink) { bandwidth_ = sink; }
+
   /// Packets ingested so far — the resume cursor a checkpoint stores.
   std::uint64_t packets_consumed() const { return packets_consumed_; }
 
@@ -334,6 +337,7 @@ class DatasetBuilder {
 
   CaptureDataset::Options options_;
   ResourceBudgets budgets_;
+  BandwidthAccumulator* bandwidth_ = nullptr;
 
   /// Backs the parsed-ASDU object storage of everything this lane parses.
   /// Declared before records_/parsers_/scratch (destroyed after them) and

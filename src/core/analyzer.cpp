@@ -91,14 +91,19 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
 
   unsigned threads = resolve_threads(options.threads);
   if (threads <= 1) {
+    // Bandwidth accounting rides the builder's decode pass: one decode per
+    // frame, and "ingest" covers both.
     StageTimings build_timings;
     analysis::CaptureDataset dataset;
+    analysis::BandwidthAccumulator bandwidth;
     {
       ScopedStageTimer t(&build_timings, "ingest");
-      dataset = analysis::CaptureDataset::build(frames, ds_opts);
+      analysis::DatasetBuilder builder(ds_opts);
+      builder.set_bandwidth_sink(&bandwidth);
+      builder.add_packets(frames);
+      dataset = builder.finish();
     }
-    auto report = analyze_dataset(dataset, analysis::analyze_bandwidth(frames),
-                                  options, nullptr);
+    auto report = analyze_dataset(dataset, bandwidth.finish(), options, nullptr);
     report.timings.stages.insert(report.timings.stages.begin(),
                                  build_timings.stages.begin(),
                                  build_timings.stages.end());
@@ -116,8 +121,14 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
           build_timings.add(stage, wall_ms);
         });
   }
-  auto report =
-      analyze_dataset(dataset, analysis::analyze_bandwidth(frames), options, &pool);
+  // Lanes see flow-disjoint subsets, and the IEC 104 inter-arrival stats
+  // depend on global order, so bandwidth is its own pass over the capture.
+  analysis::BandwidthReport bandwidth;
+  {
+    ScopedStageTimer t(&build_timings, "bandwidth");
+    bandwidth = analysis::analyze_bandwidth(frames);
+  }
+  auto report = analyze_dataset(dataset, std::move(bandwidth), options, &pool);
   report.timings.stages.insert(report.timings.stages.begin(),
                                build_timings.stages.begin(),
                                build_timings.stages.end());

@@ -31,8 +31,15 @@ unsigned resolve_stream_threads(unsigned threads) {
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
     : options_(std::move(options)) {
   unsigned threads = resolve_stream_threads(options_.analyze.threads);
-  if (threads > 1) {
-    pool_ = std::make_unique<exec::Pool>(threads);
+  if (threads > 1) pool_ = std::make_unique<exec::Pool>(threads);
+  reset_engine();
+  std::size_t shards = std::max<std::size_t>(options_.analyze.shard_count, 1);
+  deferred_.resize(shards);
+  shard_ingested_.resize(shards, 0);
+}
+
+void StreamingAnalyzer::reset_engine() {
+  if (pool_) {
     sharded_ = std::make_unique<analysis::ShardedDatasetBuilder>(
         dataset_options(options_), options_.budgets, pool_.get(),
         options_.analyze.shard_count);
@@ -40,9 +47,7 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
     single_ = std::make_unique<analysis::DatasetBuilder>(dataset_options(options_),
                                                          options_.budgets);
   }
-  std::size_t shards = std::max<std::size_t>(options_.analyze.shard_count, 1);
-  deferred_.resize(shards);
-  shard_ingested_.resize(shards, 0);
+  bandwidth_ = analysis::BandwidthAccumulator{};
 }
 
 // Lanes must quiesce before the pool dies: sharded_ (declared after
@@ -225,12 +230,14 @@ bool StreamingAnalyzer::try_restore() {
   auto payload = read_latest_checkpoint(options_.checkpoint_path);
   if (!payload) return false;  // missing/corrupt/truncated: start fresh
   ByteReader r(payload.value());
-  // A load failure (engine mismatch, truncated payload) means re-ingesting
-  // from the start is the correct recovery; treat like a missing
-  // checkpoint. Note a partial load may have mutated builder state — the
-  // builders tolerate that only because every caller discards the analyzer
-  // or starts from packet 0 on false.
-  return static_cast<bool>(load_state(r));
+  // A load failure (engine mismatch, truncated or invalid payload) means
+  // re-ingesting from the start is the correct recovery; treat like a
+  // missing checkpoint. A partial load may already have restored the
+  // builder when a later section fails, so rebuild fresh state for the
+  // caller to resume from packet 0.
+  if (load_state(r)) return true;
+  reset_engine();
+  return false;
 }
 
 AnalysisReport StreamingAnalyzer::finalize() {

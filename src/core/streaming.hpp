@@ -122,6 +122,8 @@ class StreamingAnalyzer {
 
  private:
   Status write_checkpoint();
+  /// Fresh engine (over pool_ when set) and bandwidth state.
+  void reset_engine();
   std::size_t deferral_shard(const net::CapturedPacket& pkt) const;
   void ingest(std::size_t shard, const net::CapturedPacket& pkt);
   void force_drain_deferred();

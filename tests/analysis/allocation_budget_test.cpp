@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "analysis/bandwidth.hpp"
 #include "analysis/dataset.hpp"
 #include "net/pcap.hpp"
 #include "sim/capture.hpp"
@@ -36,7 +37,9 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace uncharted::analysis {
 namespace {
 
-TEST(AllocationBudget, InOrderIngestStaysUnderBudget) {
+/// Ingests the in-order Y1 window and checks the steady-state half against
+/// the heap-allocation budget; `sink` optionally rides the builder's decode.
+void expect_in_order_ingest_under_budget(BandwidthAccumulator* sink) {
   // A clean (in-order, fault-free) capture: the zero-copy fast paths
   // should handle every packet. Long enough that steady state dominates
   // the first-touch allocations (flow entries, parser map nodes, arena
@@ -48,6 +51,7 @@ TEST(AllocationBudget, InOrderIngestStaysUnderBudget) {
   CaptureDataset::Options options;
   options.mode = ParseMode::kReassembled;
   DatasetBuilder builder(options);
+  builder.set_bandwidth_sink(sink);
 
   // Warm-up: first half establishes flows, parsers, and container
   // capacities. Measured: second half, the steady-state hot path.
@@ -80,6 +84,18 @@ TEST(AllocationBudget, InOrderIngestStaysUnderBudget) {
 
   auto dataset = builder.finish();
   EXPECT_GT(dataset.stats().apdus, 0u);
+}
+
+TEST(AllocationBudget, InOrderIngestStaysUnderBudget) {
+  expect_in_order_ingest_under_budget(nullptr);
+}
+
+TEST(AllocationBudget, BandwidthSinkAddsNoPerPacketAllocations) {
+  // Bandwidth accounting on the builder's decode pass: flat per-protocol
+  // state, so only new buckets and new connections allocate.
+  BandwidthAccumulator sink;
+  expect_in_order_ingest_under_budget(&sink);
+  EXPECT_GT(sink.finish().total_packets.at(TapProtocol::kIec104), 0u);
 }
 
 TEST(AllocationBudget, ArenaBytesAccountedAndBounded) {

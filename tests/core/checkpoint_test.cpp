@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "core/streaming.hpp"
 #include "faultinject/sysfault.hpp"
+#include "sim/capture.hpp"
 
 namespace uncharted::core {
 namespace {
@@ -242,6 +244,85 @@ TEST(Checkpoint, WriterKilledMidRotationSequenceIsRecoverable) {
   auto r3 = read_latest_checkpoint(path);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(*r3, gen2);
+}
+
+// A CRC-valid payload can still be foreign or hostile: an out-of-range
+// bandwidth protocol tag must fail the load, and restore must then start
+// clean even though the builder section before it had already loaded.
+TEST(Checkpoint, OutOfRangeBandwidthTagFallsBackToFreshStart) {
+  auto capture = sim::generate_capture(sim::CaptureConfig::y1(30.0));
+  std::vector<net::CapturedPacket> packets(capture.packets.begin(),
+                                           capture.packets.begin() + 500);
+  StreamingOptions options;
+  options.analyze.threads = 1;
+
+  // Hand-built payload: single-engine tag and a real builder section (500
+  // packets in), then a bandwidth section whose protocol is `tag`.
+  auto payload_with_tag = [&](std::uint8_t tag) {
+    analysis::DatasetBuilder builder;
+    for (const auto& pkt : packets) builder.add_packet(pkt);
+    ByteWriter w;
+    w.u8(1);  // the single-builder engine tag
+    EXPECT_TRUE(builder.save(w).ok());
+    w.f64le(10.0);  // bucket width
+    w.u8(1);        // start seen
+    w.u64le(packets.front().ts);
+    w.u32le(1);  // one series of one bucket
+    w.u8(tag);
+    w.u32le(1);
+    w.f64le(0.0);
+    w.u64le(600);
+    w.u64le(10);
+    w.u32le(1);  // total bytes
+    w.u8(tag);
+    w.u64le(600);
+    w.u32le(1);  // total packets
+    w.u8(tag);
+    w.u64le(10);
+    w.u32le(0);  // no connections
+    w.u8(0);     // no previous IEC 104 timestamp
+    RunningStats{}.save(w);
+    auto bytes = w.view();
+    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+  };
+
+  auto bad = payload_with_tag(7);
+  {
+    StreamingAnalyzer analyzer(options);
+    ByteReader r(bad);
+    auto st = analyzer.load_state(r);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.error().str().find("out of range"), std::string::npos);
+  }
+
+  auto path = temp_path("bad_bandwidth_tag.ckpt");
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".1");
+  StreamingOptions restoring = options;
+  restoring.checkpoint_path = path;
+
+  // Control: the same payload with a valid tag restores.
+  ASSERT_TRUE(write_checkpoint_file(path, payload_with_tag(0)).ok());
+  {
+    StreamingAnalyzer analyzer(restoring);
+    ASSERT_TRUE(analyzer.try_restore());
+    EXPECT_EQ(analyzer.packets_consumed(), packets.size());
+  }
+
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".1");
+  ASSERT_TRUE(write_checkpoint_file(path, bad).ok());
+  StreamingAnalyzer restored(restoring);
+  EXPECT_FALSE(restored.try_restore());
+  EXPECT_EQ(restored.packets_consumed(), 0u);
+  restored.add_packets(packets);
+  StreamingAnalyzer fresh(options);
+  fresh.add_packets(packets);
+  EXPECT_EQ(render_report(restored.finalize(), {}),
+            render_report(fresh.finalize(), {}));
+
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".1");
 }
 
 // --- Storage-fault durability: the writer's syscall contract ------------

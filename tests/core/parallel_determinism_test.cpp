@@ -147,5 +147,33 @@ TEST(ParallelDeterminism, ProfileFooterIsOptInOnly) {
   EXPECT_EQ(core::report_to_json(report).find("timing"), std::string::npos);
 }
 
+bool has_stage(const core::AnalysisReport& report, const std::string& stage) {
+  for (const auto& s : report.timings.stages) {
+    if (s.stage == stage) return true;
+  }
+  return false;
+}
+
+TEST(ParallelDeterminism, ProfiledStagesCoverTheBandwidthPass) {
+  // Sharded: bandwidth is a separate pass over the capture and gets its
+  // own stage, so the footer total accounts for it.
+  auto sharded = core::CaptureAnalyzer::analyze(y2_packets(), options_with(4));
+  EXPECT_TRUE(has_stage(sharded, "bandwidth"));
+  core::RenderOptions render_options;
+  render_options.profile = true;
+  std::string profiled = core::render_report(sharded, {}, render_options);
+  auto footer = profiled.find("== Stage timings (--profile) ==");
+  ASSERT_NE(footer, std::string::npos);
+  EXPECT_NE(profiled.find("\nbandwidth: ", footer), std::string::npos);
+  std::string json = core::report_to_json(sharded);
+  EXPECT_EQ(json.find("timing"), std::string::npos);
+  EXPECT_EQ(json.find("wall_ms"), std::string::npos);
+
+  // Single builder: bandwidth rides the ingest decode, inside "ingest".
+  auto single = core::CaptureAnalyzer::analyze(y2_packets(), options_with(1));
+  EXPECT_TRUE(has_stage(single, "ingest"));
+  EXPECT_FALSE(has_stage(single, "bandwidth"));
+}
+
 }  // namespace
 }  // namespace uncharted
