@@ -9,6 +9,7 @@
 #include "analysis/bandwidth.hpp"
 #include "analysis/dataset.hpp"
 #include "core/analyzer.hpp"
+#include "core/streaming.hpp"
 #include "iec104/parser.hpp"
 #include "sim/capture.hpp"
 
@@ -167,6 +168,23 @@ void BM_BandwidthAddDecoded(benchmark::State& state) {
                           static_cast<std::int64_t>(frames.size()));
 }
 BENCHMARK(BM_BandwidthAddDecoded)->Unit(benchmark::kMillisecond);
+
+// Live report query: report_snapshot() over a streaming analyzer holding
+// the whole Y1 120 s capture, with the daemon's default options (per-packet
+// parse, one thread) — the builder snapshot plus the §6 analytics one
+// query pays.
+void BM_ReportSnapshot(benchmark::State& state) {
+  const auto& capture = capture_120s();
+  core::StreamingAnalyzer analyzer(core::StreamingOptions{});
+  analyzer.add_packets(capture.packets);
+  for (auto _ : state) {
+    auto report = analyzer.report_snapshot();
+    benchmark::DoNotOptimize(report.stats.apdus);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(capture.packets.size()));
+}
+BENCHMARK(BM_ReportSnapshot)->Unit(benchmark::kMillisecond);
 
 void BM_FullAnalyzer(benchmark::State& state) {
   const auto& capture = capture_120s();

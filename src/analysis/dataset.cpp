@@ -301,6 +301,77 @@ CaptureDataset DatasetBuilder::finish() {
 
 namespace {
 
+/// Canonical record order: (ts, flow, per-flow seq). A strict total order
+/// — no two records share all three — so the merged sequence is the same
+/// no matter how the records were distributed across partials.
+bool canonical_less(const ApduRecord& a, const ApduRecord& b) {
+  if (a.ts != b.ts) return a.ts < b.ts;
+  if (!(a.flow == b.flow)) return a.flow < b.flow;
+  return a.seq < b.seq;
+}
+
+/// The canonical order of `records` as a u32 permutation, so a fat record
+/// (owning a parsed ASDU) is moved or copied once when the permutation is
+/// applied, not O(n log n) times inside the sort.
+std::vector<std::uint32_t> canonical_order(const std::vector<ApduRecord>& records) {
+  std::vector<std::uint32_t> order(records.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return canonical_less(records[a], records[b]);
+                   });
+  return order;
+}
+
+/// seq is not serialized: a restored builder numbers each flow's records
+/// from 0 in append order. Within a flow that order IS the arrival order,
+/// so only the values change, never the canonical order.
+std::vector<std::uint64_t> restored_seq(const std::vector<ApduRecord>& records) {
+  std::vector<std::uint64_t> seq(records.size());
+  std::map<net::FlowKey, std::uint64_t> next_seq;
+  for (std::size_t i = 0; i < records.size(); ++i) seq[i] = next_seq[records[i].flow]++;
+  return seq;
+}
+
+}  // namespace
+
+ShardPartial DatasetBuilder::snapshot_partial(Timestamp flush_ts) const {
+  // The scratch builder gets exactly the state save() would write; its
+  // own arena backs only what the flush parses.
+  DatasetBuilder copy(options_);
+  copy.stats_ = stats_;
+  copy.pressure_ = pressure_;
+  copy.flows_ = flows_;
+  copy.last_ts_ = last_ts_;
+  copy.packets_consumed_ = packets_consumed_;
+  // Records are copied once, already in canonical order, so at one shard
+  // merge_partials() finds them sorted and skips its own sort and move.
+  // Only budget eviction leaves per-flow seq gaps, so only then can the
+  // live numbering differ from a restored builder's.
+  std::vector<std::uint64_t> seq;
+  if (pressure_.records_evicted > 0) seq = restored_seq(records_);
+  copy.records_.reserve(records_.size());
+  for (std::uint32_t idx : canonical_order(records_)) {
+    copy.records_.push_back(records_[idx]);
+    if (!seq.empty()) copy.records_.back().seq = seq[idx];
+  }
+  copy.parsers_ = parsers_;
+  for (auto& [key, parser] : copy.parsers_) {
+    parser.set_arena(copy.record_arena_->resource());
+  }
+  copy.damage_ = damage_;
+  if (reassembler_) copy.reassembler_->copy_streams_from(*reassembler_);
+  return copy.finish_partial(flush_ts);
+}
+
+CaptureDataset DatasetBuilder::snapshot() const {
+  std::vector<ShardPartial> one;
+  one.push_back(snapshot_partial(last_ts_));
+  return merge_partials(std::move(one), options_);
+}
+
+namespace {
+
 void sum_degradation(DegradationCounters& into, const DegradationCounters& from) {
   into.undecodable_frames += from.undecodable_frames;
   into.parser_resyncs += from.parser_resyncs;
@@ -365,27 +436,16 @@ CaptureDataset merge_partials(std::vector<ShardPartial> partials,
   }
   std::sort(ds.quarantined_.begin(), ds.quarantined_.end());
 
-  // Canonical record order: (ts, flow, per-flow seq). A strict total order
-  // — no two records share all three — so the merged sequence is the same
-  // no matter how the records were distributed across partials, and the
-  // single-shard case reproduces it too. The sort runs over a u32
-  // permutation so each fat record (owning a parsed ASDU) is moved exactly
-  // once when the permutation is applied, not O(n log n) times inside the
-  // sort.
-  std::vector<std::uint32_t> order(ds.records_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t ia, std::uint32_t ib) {
-                     const ApduRecord& a = ds.records_[ia];
-                     const ApduRecord& b = ds.records_[ib];
-                     if (a.ts != b.ts) return a.ts < b.ts;
-                     if (!(a.flow == b.flow)) return a.flow < b.flow;
-                     return a.seq < b.seq;
-                   });
-  std::vector<ApduRecord> sorted;
-  sorted.reserve(ds.records_.size());
-  for (std::uint32_t idx : order) sorted.push_back(std::move(ds.records_[idx]));
-  ds.records_ = std::move(sorted);
+  // Canonical order. Records that already arrive in it, as a one-shard
+  // snapshot's do, skip the sort and the move pass.
+  if (!std::is_sorted(ds.records_.begin(), ds.records_.end(), canonical_less)) {
+    std::vector<ApduRecord> sorted;
+    sorted.reserve(ds.records_.size());
+    for (std::uint32_t idx : canonical_order(ds.records_)) {
+      sorted.push_back(std::move(ds.records_[idx]));
+    }
+    ds.records_ = std::move(sorted);
+  }
 
   // Hot columns are filled in the same pass that indexes sessions and
   // connections, so the SoA projection is exactly row-aligned with the
@@ -606,15 +666,11 @@ Status DatasetBuilder::load(ByteReader& r) {
     records_.push_back(std::move(rec));
   }
 
-  // seq is not serialized: records were saved in append order, so within
-  // each flow that order IS the arrival order, and only the relative order
-  // matters to the canonical (ts, flow, seq) comparator. Records collected
-  // after the restore continue from the persisted damage counter, which is
-  // >= any recomputed value here (it also counts budget-evicted records).
-  {
-    std::map<net::FlowKey, std::uint64_t> next_seq;
-    for (auto& rec : records_) rec.seq = next_seq[rec.flow]++;
-  }
+  // Records were saved in append order. Records collected after the
+  // restore continue from the persisted damage counter, which is >= any
+  // recomputed value here (it also counts budget-evicted records).
+  auto seq = restored_seq(records_);
+  for (std::size_t i = 0; i < records_.size(); ++i) records_[i].seq = seq[i];
 
   auto parser_count = r.u32le();
   if (!parser_count) return parser_count.error();

@@ -306,6 +306,17 @@ class DatasetBuilder {
   /// finish() is exactly merge_partials({finish_partial(last_ts())}).
   ShardPartial finish_partial(Timestamp flush_ts);
 
+  /// The dataset finish() would return now, on a builder restored from
+  /// save(), without spending this one: finish_partial() runs on a scratch
+  /// builder over copies of the state. Record copies hold their ASDU
+  /// objects on the default heap, never in this builder's arena; the
+  /// reassembled-mode flush runs on copied stream directions and parser
+  /// tails. Serves live report queries.
+  CaptureDataset snapshot() const;
+
+  /// Shard-lane variant of snapshot(), as finish_partial() is to finish().
+  ShardPartial snapshot_partial(Timestamp flush_ts) const;
+
   /// Timestamp of the most recently ingested packet.
   Timestamp last_ts() const { return last_ts_; }
 

@@ -251,17 +251,29 @@ ResourcePressure ShardedDatasetBuilder::pressure() {
   return total;
 }
 
-CaptureDataset ShardedDatasetBuilder::finish() {
+template <typename PartialOf>
+CaptureDataset ShardedDatasetBuilder::merge_lanes(PartialOf partial_of) {
   drain();
   std::vector<ShardPartial> partials(lanes_.size());
   {
     exec::TaskGroup group(pool_);
     for (std::size_t s = 0; s < lanes_.size(); ++s) {
-      group.run([&, s] { partials[s] = lanes_[s]->builder.finish_partial(last_ts_); });
+      group.run([&, s] { partials[s] = partial_of(lanes_[s]->builder); });
     }
     group.wait();
   }
   return merge_partials(std::move(partials), options_);
+}
+
+CaptureDataset ShardedDatasetBuilder::finish() {
+  return merge_lanes(
+      [this](DatasetBuilder& builder) { return builder.finish_partial(last_ts_); });
+}
+
+CaptureDataset ShardedDatasetBuilder::snapshot() {
+  return merge_lanes([this](const DatasetBuilder& builder) {
+    return builder.snapshot_partial(last_ts_);
+  });
 }
 
 Status ShardedDatasetBuilder::save(ByteWriter& w) {

@@ -128,6 +128,11 @@ class ShardedDatasetBuilder {
   /// builder is spent afterwards.
   CaptureDataset finish();
 
+  /// The dataset finish() would return now, without spending the builder:
+  /// drains, then snapshots every lane at the global cursor timestamp on
+  /// the pool and merges (see DatasetBuilder::snapshot()).
+  CaptureDataset snapshot();
+
   /// Checkpoint serialization: shard count, cursor, global last timestamp,
   /// then each lane's DatasetBuilder state. load() refuses a checkpoint
   /// whose shard count differs from this builder's (the caller starts
@@ -140,6 +145,10 @@ class ShardedDatasetBuilder {
 
   void push_batch(Lane& lane, std::vector<net::CapturedPacket>&& batch);
   void drain_lane(Lane& lane);
+  /// Drains, runs `partial_of(lane builder)` for every lane on the pool and
+  /// merges the results: the shared body of finish() and snapshot().
+  template <typename PartialOf>
+  CaptureDataset merge_lanes(PartialOf partial_of);
 
   CaptureDataset::Options options_;
   exec::Pool* pool_;

@@ -311,12 +311,28 @@ Status LiveIngestDaemon::checkpoint_now() {
 
 std::string LiveIngestDaemon::report_json() {
   AnalysisReport report = analyzer_->report_snapshot();
-  if (!checkpoint_error_.empty()) {
+  add_ingest_warnings(report, /*final=*/false);
+  return report_to_json(report);
+}
+
+void LiveIngestDaemon::add_ingest_warnings(AnalysisReport& report, bool final) const {
+  const netd::ServerStats& stats = server_->stats();
+  if (stats.forced_releases > 0) {
+    report.degradation.warnings.push_back(
+        "live ingest degraded to sampling: " +
+        format_count(stats.forced_releases) +
+        " frames force-released past the deterministic watermark under "
+        "memory pressure");
+  }
+  if (checkpoint_error_.empty()) return;
+  if (final) {
+    report.degradation.warnings.push_back("checkpoint write failed: " +
+                                          checkpoint_error_);
+  } else {
     report.degradation.warnings.push_back(
         "checkpoint degraded: " + checkpoint_error_ +
         " (last good snapshot retained; retrying next interval)");
   }
-  return report_to_json(report);
 }
 
 AnalysisReport LiveIngestDaemon::finalize() {
@@ -338,18 +354,7 @@ AnalysisReport LiveIngestDaemon::finalize() {
   // carries a warning only when the daemon genuinely ends degraded.
   if (!checkpoint_path_.empty()) (void)checkpoint_now();
   AnalysisReport report = analyzer_->finalize();
-  const netd::ServerStats& stats = server_->stats();
-  if (stats.forced_releases > 0) {
-    report.degradation.warnings.push_back(
-        "live ingest degraded to sampling: " +
-        format_count(stats.forced_releases) +
-        " frames force-released past the deterministic watermark under "
-        "memory pressure");
-  }
-  if (!checkpoint_error_.empty()) {
-    report.degradation.warnings.push_back("checkpoint write failed: " +
-                                          checkpoint_error_);
-  }
+  add_ingest_warnings(report, /*final=*/true);
   return report;
 }
 

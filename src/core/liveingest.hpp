@@ -19,9 +19,10 @@
 //                         pressure level, shrinking the ingest buffer
 //                         budget so shedding starts before the analyzer
 //                         is forced to evict its own state.
-//   Live report queries   report_snapshot() serialized through a twin
-//                         analyzer renders the current AnalysisReport JSON
-//                         without spending the live one.
+//   Live report queries   report_snapshot() builds the current
+//                         AnalysisReport from an in-memory snapshot of the
+//                         live builder state (no serialized twin) and
+//                         leaves that state untouched.
 #pragma once
 
 #include <memory>
@@ -112,7 +113,8 @@ class LiveIngestDaemon {
   const std::string& checkpoint_error() const { return checkpoint_error_; }
 
   /// Current report as deterministic JSON (the query-socket payload).
-  /// While the latest checkpoint write has failed, carries a degradation
+  /// Carries the same forced-release warning as finalize(). While the
+  /// latest checkpoint write has failed, also carries a degradation
   /// warning naming the error — the operator-visible signal that the
   /// daemon is serving from a stale snapshot.
   std::string report_json();
@@ -142,6 +144,10 @@ class LiveIngestDaemon {
 
  private:
   Status try_restore_composed();
+  /// Appends the daemon's own degradation warnings — forced releases, then
+  /// the checkpoint error — to a query answer (final = false: the writer is
+  /// still retrying) or to the final report.
+  void add_ingest_warnings(AnalysisReport& report, bool final) const;
   void rebuild_engine();
   void install_handlers();
   void arm_checkpoint_timer();

@@ -106,8 +106,10 @@ class StreamingAnalyzer {
   Status load_state(ByteReader& r);
 
   /// The report over everything ingested so far, without spending the
-  /// analyzer: state is serialized into a fresh twin which is finalized.
-  /// Serves live queries on a daemon that keeps ingesting afterwards.
+  /// analyzer: the engine's snapshot() dataset (live state untouched)
+  /// analyzed over pool_, with finalize()'s warnings. Packets parked
+  /// behind a wedged shard are not in it. Serves live queries on a daemon
+  /// that keeps ingesting afterwards.
   AnalysisReport report_snapshot();
 
   /// Loads the newest valid checkpoint generation, if any. Returns true
@@ -122,6 +124,11 @@ class StreamingAnalyzer {
 
  private:
   Status write_checkpoint();
+  /// The §6 report over `dataset` plus the bandwidth so far, with the
+  /// budget and checkpoint warnings: shared by finalize() and
+  /// report_snapshot().
+  AnalysisReport report_over(const analysis::CaptureDataset& dataset,
+                             const analysis::ResourcePressure& pressure) const;
   /// Fresh engine (over pool_ when set) and bandwidth state.
   void reset_engine();
   std::size_t deferral_shard(const net::CapturedPacket& pkt) const;

@@ -46,6 +46,15 @@ void TcpStreamDirection::drain_contiguous(StreamChunk& chunk) {
   if (pending_.empty()) slab_.reset();
 }
 
+TcpStreamDirection::TcpStreamDirection(const TcpStreamDirection& other)
+    : limits_(other.limits_),
+      initialized_(other.initialized_),
+      next_seq_(other.next_seq_),
+      pending_bytes_(other.pending_bytes_),
+      stats_(other.stats_) {
+  for (const auto& [seq, data] : other.pending_) pending_[seq] = slab_.store(data);
+}
+
 StreamChunk TcpStreamDirection::skip_hole(Timestamp ts) {
   StreamChunk chunk;
   chunk.ts = ts;
@@ -313,6 +322,11 @@ Status TcpReassembler::load(ByteReader& r) {
     directions_.emplace(key.value(), std::move(dir).take());
   }
   return Status::Ok();
+}
+
+void TcpReassembler::copy_streams_from(const TcpReassembler& other) {
+  directions_.clear();
+  for (const auto& [key, dir] : other.directions_) directions_.emplace(key, dir);
 }
 
 }  // namespace uncharted::net

@@ -67,6 +67,13 @@ class TcpStreamDirection {
  public:
   explicit TcpStreamDirection(ReassemblyLimits limits = {}) : limits_(limits) {}
 
+  /// Deep copy: the pending bytes are re-stored in this direction's own
+  /// slab, so the copy can be flushed while the source keeps ingesting.
+  TcpStreamDirection(const TcpStreamDirection& other);
+  TcpStreamDirection& operator=(const TcpStreamDirection&) = delete;
+  TcpStreamDirection(TcpStreamDirection&&) = default;
+  TcpStreamDirection& operator=(TcpStreamDirection&&) = default;
+
   /// Feeds a segment; returns application chunks that became contiguous
   /// (possibly after skipping an abandoned hole).
   std::vector<StreamChunk> on_segment(Timestamp ts, const TcpHeader& tcp,
@@ -182,6 +189,11 @@ class TcpReassembler {
   /// Checkpoint serialization of every tracked direction.
   void save(ByteWriter& w) const;
   Status load(ByteReader& r);
+
+  /// Replaces every tracked direction with a deep copy of `other`'s — the
+  /// state load() would restore from other.save(). This reassembler's sink
+  /// and limits are kept.
+  void copy_streams_from(const TcpReassembler& other);
 
  private:
   Sink sink_;

@@ -5,6 +5,7 @@
 // cron jobs consume.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -36,11 +37,15 @@ struct Pcaps {
 
 const Pcaps& pcaps() {
   static const Pcaps p = [] {
-    const std::string dir = testing::TempDir();
+    // ctest runs each test in its own process, concurrently: the names
+    // carry the pid so one process never reads a fixture another is
+    // still writing.
+    const std::string prefix =
+        testing::TempDir() + "/exitcodes_" + std::to_string(::getpid()) + "_";
     Pcaps out;
-    out.clean = dir + "/exitcodes_clean.pcap";
-    out.truncated = dir + "/exitcodes_truncated.pcap";
-    out.hostile = dir + "/exitcodes_hostile.pcap";
+    out.clean = prefix + "clean.pcap";
+    out.truncated = prefix + "truncated.pcap";
+    out.hostile = prefix + "hostile.pcap";
     EXPECT_EQ(run(quoted(UNCHARTED_BIN_CAPTURE_GENERATOR) +
                   " --year 1 --duration 10 --seed 7 --no-events --out " +
                   out.clean),

@@ -13,6 +13,7 @@
 #include "core/streaming.hpp"
 #include "faultinject/fault.hpp"
 #include "sim/capture.hpp"
+#include "tests/core/snapshot_twin.hpp"
 
 namespace uncharted {
 namespace {
@@ -173,6 +174,55 @@ TEST(ParallelDeterminism, ProfiledStagesCoverTheBandwidthPass) {
   auto single = core::CaptureAnalyzer::analyze(y2_packets(), options_with(1));
   EXPECT_TRUE(has_stage(single, "ingest"));
   EXPECT_FALSE(has_stage(single, "bandwidth"));
+}
+
+// Live report queries at --threads 8: the lane drain and the per-lane
+// snapshots on the pool must give the twin's report byte for byte (the
+// TSan job races them through this suite).
+core::StreamingOptions snapshot_options(analysis::ParseMode mode, bool evicting) {
+  core::StreamingOptions options;
+  options.analyze = options_with(8);
+  options.analyze.mode = mode;
+  if (evicting) options.budgets = core::snapshot_twin::evicting_budgets();
+  return options;
+}
+
+const std::vector<net::CapturedPacket>& y1_faulty_packets() {
+  static const auto faulted = faultinject::apply_faults(
+      y1_packets(), faultinject::FaultConfig::uniform(0.05));
+  return faulted.packets;
+}
+
+TEST(ParallelDeterminism, SnapshotMatchesTwin) {
+  for (auto mode : {analysis::ParseMode::kPerPacket, analysis::ParseMode::kReassembled}) {
+    core::snapshot_twin::expect_snapshots_match_twin(y1_packets(),
+                                               snapshot_options(mode, false), false);
+  }
+}
+
+TEST(ParallelDeterminism, SnapshotFaultyInputMatchesTwin) {
+  for (auto mode : {analysis::ParseMode::kPerPacket, analysis::ParseMode::kReassembled}) {
+    core::snapshot_twin::expect_snapshots_match_twin(y1_faulty_packets(),
+                                               snapshot_options(mode, false), false);
+  }
+}
+
+TEST(ParallelDeterminism, SnapshotEvictingBudgetsMatchTwin) {
+  for (auto mode : {analysis::ParseMode::kPerPacket, analysis::ParseMode::kReassembled}) {
+    core::snapshot_twin::expect_snapshots_match_twin(y1_faulty_packets(),
+                                               snapshot_options(mode, true), false);
+  }
+}
+
+TEST(ParallelDeterminism, SnapshotParkedPacketsMatchTwin) {
+  core::snapshot_twin::expect_snapshots_match_twin(
+      y1_faulty_packets(), snapshot_options(analysis::ParseMode::kReassembled, false),
+      true);
+}
+
+TEST(ParallelDeterminism, SnapshotQueriesLeaveStateUntouched) {
+  core::snapshot_twin::expect_snapshots_leave_state_untouched(
+      y1_faulty_packets(), snapshot_options(analysis::ParseMode::kReassembled, true));
 }
 
 }  // namespace

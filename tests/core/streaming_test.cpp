@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "core/names.hpp"
+#include "faultinject/fault.hpp"
 #include "sim/capture.hpp"
+#include "tests/core/snapshot_twin.hpp"
 
 namespace uncharted::core {
 namespace {
@@ -239,6 +241,59 @@ TEST(Streaming, AnalyzeFileStreamingMatchesAnalyzeFile) {
   auto resumed = analyze_file_streaming(pcap, options);
   ASSERT_TRUE(resumed.ok());
   expect_headlines_match(*resumed, *batch);
+}
+
+const std::vector<net::CapturedPacket>& faulty_packets() {
+  static const auto faulted = faultinject::apply_faults(
+      capture().packets, faultinject::FaultConfig::uniform(0.05));
+  return faulted.packets;
+}
+
+StreamingOptions snapshot_options(analysis::ParseMode mode, bool evicting) {
+  StreamingOptions options;
+  options.analyze = batch_options();
+  options.analyze.mode = mode;
+  if (evicting) options.budgets = snapshot_twin::evicting_budgets();
+  return options;
+}
+
+TEST(StreamingSnapshot, PerPacketMatchesTwin) {
+  snapshot_twin::expect_snapshots_match_twin(
+      capture().packets, snapshot_options(analysis::ParseMode::kPerPacket, false),
+      false);
+}
+
+TEST(StreamingSnapshot, ReassembledMatchesTwin) {
+  snapshot_twin::expect_snapshots_match_twin(
+      capture().packets, snapshot_options(analysis::ParseMode::kReassembled, false),
+      false);
+}
+
+TEST(StreamingSnapshot, FaultyInputMatchesTwin) {
+  for (auto mode : {analysis::ParseMode::kPerPacket, analysis::ParseMode::kReassembled}) {
+    snapshot_twin::expect_snapshots_match_twin(faulty_packets(),
+                                         snapshot_options(mode, false), false);
+  }
+}
+
+TEST(StreamingSnapshot, EvictingBudgetsMatchTwin) {
+  for (auto mode : {analysis::ParseMode::kPerPacket, analysis::ParseMode::kReassembled}) {
+    snapshot_twin::expect_snapshots_match_twin(faulty_packets(),
+                                         snapshot_options(mode, true), false);
+  }
+}
+
+TEST(StreamingSnapshot, ParkedPacketsMatchTwin) {
+  snapshot_twin::expect_snapshots_match_twin(
+      faulty_packets(), snapshot_options(analysis::ParseMode::kReassembled, false),
+      true);
+}
+
+TEST(StreamingSnapshot, QueriesLeaveStateUntouched) {
+  snapshot_twin::expect_snapshots_leave_state_untouched(
+      capture().packets, snapshot_options(analysis::ParseMode::kPerPacket, false));
+  snapshot_twin::expect_snapshots_leave_state_untouched(
+      faulty_packets(), snapshot_options(analysis::ParseMode::kReassembled, true));
 }
 
 }  // namespace

@@ -226,6 +226,10 @@ TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
   ::close(gate_fd);
   ::close(fat_fd);
 
+  // A query answer must not report a clean sample either.
+  EXPECT_NE(daemon.report_json().find("live ingest degraded to sampling"),
+            std::string::npos);
+
   AnalysisReport report = daemon.finalize();
   ASSERT_FALSE(report.degradation.warnings.empty());
   bool found = false;
