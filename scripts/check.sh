@@ -9,7 +9,7 @@
 #      sweep, called out explicitly so a chaos regression is easy to spot)
 #   4. the hostile-peer adversarial sweep under sanitizers: every
 #      sim::HostilePeer attack scenario through the full pipeline plus the
-#      conformance machine and supervisor quarantine tests
+#      conformance machine and dataset quarantine tests
 #   5. ThreadSanitizer over the work-stealing pool and the parallel
 #      flow-sharded pipeline (the determinism tests double as race
 #      detectors: every stage runs concurrently at threads=8)
@@ -61,8 +61,7 @@ echo "==> [5/8] hostile-peer: adversarial sweep under sanitizers"
 ASAN_OPTIONS=strict_string_checks=1:detect_stack_use_after_return=1 \
 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --preset debug-asan-ubsan \
-    -R 'HostilePeer|Conformance|QuarantinePolicy|Supervisor.Hostile' \
-    --output-on-failure
+    -R 'HostilePeer|Conformance|QuarantinePolicy' --output-on-failure
 
 echo "==> [6/8] tsan: work-stealing pool + parallel pipeline"
 cmake --preset tsan

@@ -741,9 +741,14 @@ Result<Asdu> Asdu::decode(ByteReader& r, const CodecProfile& profile,
   // The arena must be seated at construction: polymorphic_allocator never
   // propagates on assignment, so assigning an arena-backed vector into a
   // default-constructed one would silently keep the default resource.
-  Asdu asdu{.objects = std::pmr::vector<InformationObject>(
+  // Every field is named: GCC's -Wmissing-field-initializers flags any
+  // member without a default initializer (cot) left out of the list.
+  Asdu asdu{.type = static_cast<TypeId>(type_code.value()),
+            .sequence = false,
+            .cot = {},
+            .common_address = 0,
+            .objects = std::pmr::vector<InformationObject>(
                 arena != nullptr ? arena : std::pmr::get_default_resource())};
-  asdu.type = static_cast<TypeId>(type_code.value());
 
   auto vsq = r.u8();
   if (!vsq) return vsq.error();

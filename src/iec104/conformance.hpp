@@ -73,9 +73,8 @@ enum class ViolationCode {
 std::string violation_code_name(ViolationCode c);
 
 /// Severity policy: classifies violations and weighs them into a verdict.
-/// One policy serves all three consumers — the analysis audit, the
-/// redundancy supervisor's circuit breaker, and (via QuarantinePolicy)
-/// the dataset quarantine.
+/// One policy serves both consumers — the analysis audit and (via
+/// QuarantinePolicy) the dataset quarantine.
 struct ConformancePolicy {
   int k = kDefaultK;  ///< max unacknowledged I-frames the sender may hold
   int w = kDefaultW;  ///< receiver must acknowledge at latest every w

@@ -1,7 +1,7 @@
-// 15-bit IEC 104 sequence-number arithmetic, shared by the connection
-// engine, the sequence audit and the conformance state machine. N(S)/N(R)
-// live in [0, 32767] and wrap; every comparison must go through the
-// modular distance below or the 32767 -> 0 wrap is misread as a reset.
+// 15-bit IEC 104 sequence-number arithmetic, shared by the APDU codec, the
+// capture simulator, the sequence audit and the conformance state machine.
+// N(S)/N(R) live in [0, 32767] and wrap; every comparison must go through
+// the modular distance below or the 32767 -> 0 wrap is misread as a reset.
 #pragma once
 
 #include <cstdint>

@@ -22,14 +22,25 @@ std::atomic<std::uint64_t> g_heap_allocs{0};
 }  // namespace
 
 // Counting shim. Only the allocation count is observed; behavior is
-// malloc/free exactly like the defaults it replaces.
+// malloc/free exactly like the defaults it replaces. The nothrow forms are
+// replaced too (std::stable_sort's buffer uses them): otherwise a sanitizer
+// runtime's own nothrow new pairs with this shim's free-based delete.
 void* operator new(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

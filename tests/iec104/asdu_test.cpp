@@ -51,14 +51,32 @@ TEST(Asdu, RoundTripLegacyCotProfile) {
 }
 
 TEST(Asdu, RoundTripLegacyIoaProfile) {
-  Asdu asdu = sample_float_asdu();
-  ByteWriter w;
-  ASSERT_TRUE(asdu.encode(w, CodecProfile::legacy_ioa()).ok());
-  EXPECT_EQ(w.size(), 13u);  // 2-octet IOA saves one byte
-  ByteReader r(w.view());
-  auto back = Asdu::decode(r, CodecProfile::legacy_ioa());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->objects[0].ioa, 4700u);
+  struct Case {
+    CodecProfile profile;
+    std::uint32_t ioa;
+    std::size_t size;
+    std::uint32_t decoded_ioa;
+  };
+  const Case cases[] = {
+      // 2-octet IOA saves one byte.
+      {CodecProfile::legacy_ioa(), 4700, 13, 4700},
+      // A 2-octet IOA cannot address above 65535: the wire field truncates.
+      {CodecProfile::legacy_ioa(), 70000, 13, 70000u & 0xffff},
+      // Full IEC 101 serial widths (1-octet COT and CA): 4 + 2 + 5 octets.
+      {CodecProfile{1, 2, 1}, 4700, 11, 4700},
+  };
+  for (const auto& c : cases) {
+    Asdu asdu = sample_float_asdu();
+    asdu.objects[0].ioa = c.ioa;
+    ByteWriter w;
+    ASSERT_TRUE(asdu.encode(w, c.profile).ok()) << c.profile.str();
+    EXPECT_EQ(w.size(), c.size) << c.profile.str();
+    ByteReader r(w.view());
+    auto back = Asdu::decode(r, c.profile);
+    ASSERT_TRUE(back.ok()) << c.profile.str();
+    EXPECT_EQ(back->common_address, 37) << c.profile.str();
+    EXPECT_EQ(back->objects[0].ioa, c.decoded_ioa) << c.profile.str();
+  }
 }
 
 TEST(Asdu, ProfileMismatchDetectedByExactness) {

@@ -107,7 +107,7 @@ TEST(LintRules, Seq15RawArithmetic) {
 TEST(LintRules, DecoderByteSafety) {
   EXPECT_TRUE(has_rule(scan("src/iec104/p.cpp", "auto v = buf[pos + 1];"),
                        "decoder-byte-index"));
-  EXPECT_TRUE(has_rule(scan("src/iec101/p.cpp", "auto v = buf[n - 2];"),
+  EXPECT_TRUE(has_rule(scan("src/iccp/p.cpp", "auto v = buf[n - 2];"),
                        "decoder-byte-index"));
   EXPECT_TRUE(has_rule(scan("src/iccp/p.cpp", "memcpy(dst, src, n);"),
                        "decoder-memcpy"));

@@ -18,7 +18,7 @@ std::optional<int> module_rank(const std::string& module) {
       {"util", 0},   {"exec", 0},    {"health", 1},     {"net", 1},
       {"faultinject", 2},
       {"iec104", 2}, {"iccp", 2},    {"synchro", 2},    {"power", 2},
-      {"iec101", 3}, {"netd", 3},    {"analysis", 4}, {"resilience", 4}, {"sim", 4},
+      {"netd", 3},   {"analysis", 4}, {"sim", 4},
       {"core", 5},
   };
   const auto it = kRanks.find(module);

@@ -6,10 +6,10 @@
 // has (see DESIGN.md §11):
 //
 //   rank 0  util, exec          leaf infrastructure, no project deps
-//   rank 1  net                 frames/flows/pcap over util
+//   rank 1  net, health         frames/flows/pcap; daemon self-healing logic
 //   rank 2  faultinject, iec104, iccp, synchro, power
-//   rank 3  iec101              the 101->104 upgrade path sits on iec104
-//   rank 4  analysis, resilience, sim
+//   rank 3  netd                live-ingest wire, reactor, server/client
+//   rank 4  analysis, sim
 //   rank 5  core                batch/streaming orchestration on top
 //
 // Only quoted project includes whose first path segment is a ranked module

@@ -7,8 +7,7 @@
 namespace uncharted::lint {
 namespace {
 
-const std::array<const char*, 4> kDecoderModules = {"iec104", "iec101", "iccp",
-                                                    "synchro"};
+const std::array<const char*, 3> kDecoderModules = {"iec104", "iccp", "synchro"};
 
 /// The one file allowed to spell 15-bit wrap arithmetic.
 constexpr const char* kSeq15Home = "src/iec104/seq15.hpp";
