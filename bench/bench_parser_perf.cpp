@@ -186,6 +186,50 @@ void BM_ReportSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_ReportSnapshot)->Unit(benchmark::kMillisecond);
 
+// The §6 analytics alone: analyze_dataset at one thread over the snapshot
+// of a builder holding the whole Y1 120 s capture — the analysis half of
+// a live report query.
+void BM_AnalyzeDataset(benchmark::State& state) {
+  const auto& capture = capture_120s();
+  analysis::DatasetBuilder builder;
+  for (const auto& pkt : capture.packets) builder.add_packet(pkt);
+  const auto dataset = builder.snapshot();
+  core::CaptureAnalyzer::Options options;
+  options.threads = 1;
+  for (auto _ : state) {
+    auto report = core::analyze_dataset(dataset, analysis::BandwidthReport{}, options);
+    benchmark::DoNotOptimize(report.stats.apdus);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(dataset.records().size()));
+}
+BENCHMARK(BM_AnalyzeDataset)->Unit(benchmark::kMillisecond);
+
+// Dataset indexing: merge_partials over one partial of the Y1 120 s
+// capture, records in append order — the canonical sort, the record move
+// and the session/connection/compliance/column index. Copying the partial
+// in and freeing the dataset are not timed.
+void BM_DatasetIndex(benchmark::State& state) {
+  const auto& capture = capture_120s();
+  analysis::DatasetBuilder builder;
+  for (const auto& pkt : capture.packets) builder.add_packet(pkt);
+  const analysis::ShardPartial partial = builder.finish_partial(builder.last_ts());
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<analysis::ShardPartial> one;
+    one.push_back(partial);
+    state.ResumeTiming();
+    auto dataset = analysis::merge_partials(std::move(one), {});
+    benchmark::DoNotOptimize(dataset.stats().apdus);
+    state.PauseTiming();
+    dataset = analysis::CaptureDataset{};
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(partial.records.size()));
+}
+BENCHMARK(BM_DatasetIndex)->Unit(benchmark::kMillisecond);
+
 void BM_FullAnalyzer(benchmark::State& state) {
   const auto& capture = capture_120s();
   for (auto _ : state) {

@@ -19,59 +19,76 @@ std::string station_type_description(StationType t) {
 }
 
 std::vector<StationClassification> classify_stations(const CaptureDataset& dataset) {
-  const auto& records = dataset.records();
-
   // station IP -> server IP -> profile
   std::map<net::Ipv4Addr, std::map<net::Ipv4Addr, ConnectionProfile>> profiles;
 
+  // One profile per connection (endpoint pair). The outstation owns port
+  // 2404 on the connection's first flow.
+  struct ConnectionSlot {
+    ConnectionProfile* profile;
+    net::Ipv4Addr station;
+    bool seen_i = false;
+  };
+  const auto& keys = dataset.flow_keys();
+  const auto& cols = dataset.columns();
+  std::map<EndpointPair, std::size_t> slot_of_pair;
+  std::vector<ConnectionSlot> slots;
   for (const auto& [pair, indices] : dataset.connections()) {
     if (indices.empty()) continue;
-    // The outstation owns port 2404 on its flows.
-    const auto& first = records[indices.front()];
-    net::Ipv4Addr station = first.flow.dst_port == iec104::kIec104Port
-                                ? first.flow.dst_ip
-                                : first.flow.src_ip;
+    const auto& first = keys[cols.flow_index[indices.front()]];
+    net::Ipv4Addr station =
+        first.dst_port == iec104::kIec104Port ? first.dst_ip : first.src_ip;
     net::Ipv4Addr server = station == pair.a ? pair.b : pair.a;
-
     ConnectionProfile& p = profiles[station][server];
     p.server = server;
-    bool seen_i = false;
-    for (std::size_t idx : indices) {
-      const auto& rec = records[idx];
-      bool from_station = rec.flow.src_ip == station;
-      switch (rec.apdu.apdu.format) {
-        case iec104::ApduFormat::kI:
-          if (from_station) {
-            ++p.i_from_station;
-          } else {
-            ++p.i_from_server;
-          }
-          seen_i = true;
-          if (rec.apdu.apdu.asdu &&
-              rec.apdu.apdu.asdu->type == iec104::TypeId::C_IC_NA_1) {
-            p.has_i100 = true;
-          }
-          break;
-        case iec104::ApduFormat::kU:
-          switch (rec.apdu.apdu.u_function) {
-            case iec104::UFunction::kTestFrAct:
-              ++p.u16;
-              if (!seen_i) p.u_before_i = true;
-              break;
-            case iec104::UFunction::kTestFrCon:
-              ++p.u32;
-              break;
-            case iec104::UFunction::kStartDtAct:
-            case iec104::UFunction::kStartDtCon:
-              ++p.startdt;
-              break;
-            default:
-              break;
-          }
-          break;
-        case iec104::ApduFormat::kS:
-          break;
-      }
+    slot_of_pair.emplace(pair, slots.size());
+    slots.push_back(ConnectionSlot{&p, station});
+  }
+
+  // Each directed flow belongs to one connection and faces one way.
+  std::vector<std::size_t> slot_of_flow(keys.size());
+  std::vector<char> from_station(keys.size());
+  for (std::size_t f = 0; f < keys.size(); ++f) {
+    slot_of_flow[f] = slot_of_pair.at(EndpointPair::of(keys[f].src_ip, keys[f].dst_ip));
+    from_station[f] = keys[f].src_ip == slots[slot_of_flow[f]].station;
+  }
+
+  constexpr auto kI100 = static_cast<std::uint16_t>(iec104::TypeId::C_IC_NA_1);
+  for (std::size_t i = 0; i < cols.token.size(); ++i) {
+    const std::uint32_t f = cols.flow_index[i];
+    auto& slot = slots[slot_of_flow[f]];
+    ConnectionProfile& p = *slot.profile;
+    const std::uint16_t token = cols.token[i];
+    switch (iec104::token_format(token)) {
+      case iec104::ApduFormat::kI:
+        if (from_station[f]) {
+          ++p.i_from_station;
+        } else {
+          ++p.i_from_server;
+        }
+        slot.seen_i = true;
+        if (token == kI100) p.has_i100 = true;
+        break;
+      case iec104::ApduFormat::kU:
+        // U token ids carry the function bits in their low octet.
+        switch (static_cast<iec104::UFunction>(token & 0xff)) {
+          case iec104::UFunction::kTestFrAct:
+            ++p.u16;
+            if (!slot.seen_i) p.u_before_i = true;
+            break;
+          case iec104::UFunction::kTestFrCon:
+            ++p.u32;
+            break;
+          case iec104::UFunction::kStartDtAct:
+          case iec104::UFunction::kStartDtCon:
+            ++p.startdt;
+            break;
+          default:
+            break;
+        }
+        break;
+      case iec104::ApduFormat::kS:
+        break;
     }
   }
 

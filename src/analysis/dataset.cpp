@@ -312,14 +312,30 @@ bool canonical_less(const ApduRecord& a, const ApduRecord& b) {
 
 /// The canonical order of `records` as a u32 permutation, so a fat record
 /// (owning a parsed ASDU) is moved or copied once when the permutation is
-/// applied, not O(n log n) times inside the sort.
+/// applied, not O(n log n) times inside the sort. Records appended in
+/// capture order are already timestamp-nondecreasing; then only runs of
+/// equal timestamps can be out of order, and sorting each run alone gives
+/// the full stable sort's permutation.
 std::vector<std::uint32_t> canonical_order(const std::vector<ApduRecord>& records) {
   std::vector<std::uint32_t> order(records.size());
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return canonical_less(records[a], records[b]);
-                   });
+  auto less = [&](std::uint32_t a, std::uint32_t b) {
+    return canonical_less(records[a], records[b]);
+  };
+  auto ts_less = [](const ApduRecord& a, const ApduRecord& b) { return a.ts < b.ts; };
+  if (!std::is_sorted(records.begin(), records.end(), ts_less)) {
+    std::stable_sort(order.begin(), order.end(), less);
+    return order;
+  }
+  for (std::size_t begin = 0; begin < records.size();) {
+    std::size_t end = begin + 1;
+    while (end < records.size() && records[end].ts == records[begin].ts) ++end;
+    if (end - begin > 1) {
+      std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                       order.begin() + static_cast<std::ptrdiff_t>(end), less);
+    }
+    begin = end;
+  }
   return order;
 }
 
@@ -449,42 +465,68 @@ CaptureDataset merge_partials(std::vector<ShardPartial> partials,
 
   // Hot columns are filled in the same pass that indexes sessions and
   // connections, so the SoA projection is exactly row-aligned with the
-  // canonical record order.
+  // canonical record order. Each record resolves its directed flow once;
+  // the session, connection and compliance slots hang off the flow.
   auto& cols = ds.columns_;
-  cols.ts.reserve(ds.records_.size());
-  cols.flow_index.reserve(ds.records_.size());
-  cols.seq.reserve(ds.records_.size());
-  cols.type_id.reserve(ds.records_.size());
-  cols.wire_size.reserve(ds.records_.size());
+  const std::size_t n = ds.records_.size();
+  cols.ts.reserve(n);
+  cols.flow_index.reserve(n);
+  cols.seq.reserve(n);
+  cols.type_id.reserve(n);
+  cols.wire_size.reserve(n);
+  cols.token.reserve(n);
+  struct FlowSlot {
+    std::vector<std::size_t>* session;
+    std::vector<std::size_t>* connection;
+    net::Ipv4Addr station;  ///< the IEC 104 port owner
+    /// Resolved at the flow's first I-frame: only I-frames create entries.
+    CaptureDataset::ComplianceEntry* compliance = nullptr;
+  };
+  std::vector<FlowSlot> slots;
   std::map<net::FlowKey, std::uint32_t> flow_ids;
+  DirectMappedCache<net::FlowKey, std::uint32_t, 1024> flow_cache;
 
-  for (std::size_t i = 0; i < ds.records_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const auto& rec = ds.records_[i];
+    const std::uint64_t hash = net::flow_key_hash(rec.flow);
+    const std::uint32_t* fid = flow_cache.find(rec.flow, hash);
+    if (fid == nullptr) {
+      auto [fit, fresh] = flow_ids.try_emplace(
+          rec.flow, static_cast<std::uint32_t>(ds.flow_keys_.size()));
+      if (fresh) {
+        const auto& key = rec.flow;
+        ds.flow_keys_.push_back(key);
+        slots.push_back(FlowSlot{
+            &ds.sessions_[{key.src_ip, key.dst_ip}],
+            &ds.connections_[EndpointPair::of(key.src_ip, key.dst_ip)],
+            // Attribute to the outstation (the IEC 104 port owner): a
+            // vendor server configured for a legacy RTU mirrors its
+            // dialect, but the paper's compliance finding is about the
+            // device, not the direction.
+            key.src_port == options.iec104_port ? key.src_ip : key.dst_ip});
+      }
+      flow_cache.put(rec.flow, hash, &fit->second);
+      fid = &fit->second;
+    }
+    auto& slot = slots[*fid];
+    const auto& apdu = rec.apdu.apdu;
     ++ds.stats_.apdus;
     if (!rec.apdu.compliant) ++ds.stats_.non_compliant_apdus;
-    ds.sessions_[{rec.flow.src_ip, rec.flow.dst_ip}].push_back(i);
-    ds.connections_[EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip)].push_back(i);
+    slot.session->push_back(i);
+    slot.connection->push_back(i);
 
-    auto [fit, fresh] = flow_ids.try_emplace(
-        rec.flow, static_cast<std::uint32_t>(ds.flow_keys_.size()));
-    if (fresh) ds.flow_keys_.push_back(rec.flow);
     cols.ts.push_back(rec.ts);
-    cols.flow_index.push_back(fit->second);
+    cols.flow_index.push_back(*fid);
     cols.seq.push_back(rec.seq);
-    cols.type_id.push_back(
-        rec.apdu.apdu.format == iec104::ApduFormat::kI && rec.apdu.apdu.asdu
-            ? static_cast<std::uint16_t>(rec.apdu.apdu.asdu->type)
-            : CaptureDataset::kNoTypeId);
+    // An I-frame's token id is its typeID; every other token is above 255.
+    const std::uint16_t token = apdu.token_id();
+    cols.type_id.push_back(token < iec104::kTokenS ? token : CaptureDataset::kNoTypeId);
     cols.wire_size.push_back(static_cast<std::uint32_t>(rec.apdu.wire_size));
+    cols.token.push_back(token);
 
-    if (rec.apdu.apdu.format == iec104::ApduFormat::kI) {
-      // Attribute to the outstation (the IEC 104 port owner): a vendor
-      // server configured for a legacy RTU mirrors its dialect, but the
-      // paper's compliance finding is about the device, not the direction.
-      net::Ipv4Addr station = rec.flow.src_port == options.iec104_port
-                                  ? rec.flow.src_ip
-                                  : rec.flow.dst_ip;
-      auto& entry = ds.compliance_[station];
+    if (apdu.format == iec104::ApduFormat::kI) {
+      if (slot.compliance == nullptr) slot.compliance = &ds.compliance_[slot.station];
+      auto& entry = *slot.compliance;
       ++entry.i_apdus;
       if (!rec.apdu.compliant) {
         ++entry.non_compliant;

@@ -190,6 +190,10 @@ class CaptureDataset {
     /// ASDU type identification, or kNoTypeId for S/U frames (no ASDU).
     std::vector<std::uint16_t> type_id;
     std::vector<std::uint32_t> wire_size;
+    /// Paper Table 4 token id (iec104::Apdu::token_id): format, U function
+    /// and typeID in one small int, so the token-level analytics need not
+    /// touch the record.
+    std::vector<std::uint16_t> token;
   };
   /// type_id column sentinel: the record carries no ASDU. Real typeIDs are
   /// 8-bit, so the sentinel can never collide.

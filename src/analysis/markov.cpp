@@ -6,14 +6,30 @@
 
 namespace uncharted::analysis {
 
-std::string apdu_token(const iec104::Apdu& apdu) { return apdu.token(); }
-
 MarkovChain MarkovChain::from_tokens(const std::vector<std::string>& tokens) {
   MarkovChain chain;
   for (const auto& t : tokens) chain.counts_.try_emplace(t);
   for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
     ++chain.counts_[tokens[i]][tokens[i + 1]];
     ++chain.outgoing_totals_[tokens[i]];
+  }
+  return chain;
+}
+
+MarkovChain MarkovChain::from_counts(const std::vector<std::string>& nodes,
+                                     const std::vector<std::uint64_t>& pair_counts) {
+  MarkovChain chain;
+  const std::size_t n = nodes.size();
+  for (std::size_t a = 0; a < n; ++a) {
+    auto& successors = chain.counts_[nodes[a]];
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < n; ++b) {
+      std::uint64_t count = pair_counts[a * n + b];
+      if (count == 0) continue;
+      successors[nodes[b]] += count;
+      total += count;
+    }
+    if (total != 0) chain.outgoing_totals_[nodes[a]] += total;
   }
   return chain;
 }
@@ -107,7 +123,8 @@ std::string chain_cluster_name(ChainCluster c) {
 
 std::vector<ConnectionChain> build_connection_chains(const CaptureDataset& dataset,
                                                      exec::Pool* pool) {
-  const auto& records = dataset.records();
+  const auto& token_of = dataset.columns().token;
+  constexpr auto kI100 = static_cast<std::uint16_t>(iec104::TypeId::C_IC_NA_1);
 
   // Flatten the connection map so each chain builds into its own slot;
   // the output keeps the map's key order at any thread count.
@@ -123,19 +140,44 @@ std::vector<ConnectionChain> build_connection_chains(const CaptureDataset& datas
 
   std::vector<ConnectionChain> out(items.size());
   exec::parallel_for(pool, items.size(), 4, [&](std::size_t begin, std::size_t end) {
+    // Token id -> this connection's node number, in first-seen order.
+    std::vector<std::int32_t> node_of(iec104::kTokenSpace, -1);
+    std::vector<std::uint16_t> node_tokens;
+    std::vector<std::uint64_t> pair_counts;
     for (std::size_t i = begin; i < end; ++i) {
       ConnectionChain cc;
       cc.pair = *items[i].pair;
       const auto& indices = *items[i].indices;
-      cc.tokens.reserve(indices.size());
+      node_tokens.clear();
       for (std::size_t idx : indices) {
-        cc.tokens.push_back(apdu_token(records[idx].apdu.apdu));
-        if (records[idx].apdu.apdu.asdu &&
-            records[idx].apdu.apdu.asdu->type == iec104::TypeId::C_IC_NA_1) {
-          cc.has_i100 = true;
+        const std::uint16_t token = token_of[idx];
+        if (node_of[token] < 0) {
+          node_of[token] = static_cast<std::int32_t>(node_tokens.size());
+          node_tokens.push_back(token);
         }
       }
-      cc.chain = MarkovChain::from_tokens(cc.tokens);
+      const std::size_t n = node_tokens.size();
+      pair_counts.assign(n * n, 0);
+      std::vector<std::string> names;
+      names.reserve(n);
+      for (std::uint16_t token : node_tokens) {
+        names.push_back(iec104::token_name(token));
+        cc.has_i100 = cc.has_i100 || token == kI100;
+      }
+      cc.tokens.reserve(indices.size());
+      std::int32_t prev = -1;
+      for (std::size_t idx : indices) {
+        const std::int32_t node = node_of[token_of[idx]];
+        cc.tokens.push_back(names[static_cast<std::size_t>(node)]);
+        if (prev >= 0) {
+          ++pair_counts[static_cast<std::size_t>(prev) * n +
+                        static_cast<std::size_t>(node)];
+        }
+        prev = node;
+      }
+      for (std::uint16_t token : node_tokens) node_of[token] = -1;
+
+      cc.chain = MarkovChain::from_counts(names, pair_counts);
       cc.nodes = cc.chain.node_count();
       cc.edges = cc.chain.edge_count();
       if (cc.nodes == 1 && cc.edges == 1) {

@@ -18,14 +18,17 @@ class Pool;
 
 namespace uncharted::analysis {
 
-/// Paper Table 4 token for an APDU: "S", "U1".."U32", "I_<typeid>".
-std::string apdu_token(const iec104::Apdu& apdu);
-
 /// First-order Markov chain over tokens with MLE transition probabilities.
 class MarkovChain {
  public:
   /// Builds from a token sequence; consecutive pairs become transitions.
   static MarkovChain from_tokens(const std::vector<std::string>& tokens);
+
+  /// Builds from counted transitions: `nodes` names the distinct tokens,
+  /// and pair_counts[a * nodes.size() + b] counts a -> b. The chain equals
+  /// from_tokens() over any sequence with these tokens and transitions.
+  static MarkovChain from_counts(const std::vector<std::string>& nodes,
+                                 const std::vector<std::uint64_t>& pair_counts);
 
   std::size_t node_count() const { return counts_.size(); }
   std::size_t edge_count() const;
@@ -99,9 +102,11 @@ struct ConnectionChain {
   ChainCluster cluster = ChainCluster::kSquare;
 };
 
-/// Builds per-connection chains (tokens from both directions, time order).
-/// Connections are independent; `pool` fans them out (inline when null),
-/// output in connection-map order either way.
+/// Builds per-connection chains (tokens from both directions, time order)
+/// from the dataset's token column: transitions are counted between token
+/// ids, and each distinct token is named once. Connections are
+/// independent; `pool` fans them out (inline when null), output in
+/// connection-map order either way.
 std::vector<ConnectionChain> build_connection_chains(const CaptureDataset& dataset,
                                                      exec::Pool* pool = nullptr);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/ptrcache.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace uncharted::analysis {
@@ -20,22 +22,42 @@ double TimeSeries::max_value() const {
 }
 
 std::map<SeriesKey, TimeSeries> extract_time_series(const CaptureDataset& dataset) {
+  // Monitor direction only: data flowing from the outstation, which owns
+  // the IEC 104 port. Decided once per directed flow.
+  const auto& keys = dataset.flow_keys();
+  std::vector<char> monitor(keys.size());
+  for (std::size_t f = 0; f < keys.size(); ++f) {
+    monitor[f] = keys[f].src_port == iec104::kIec104Port;
+  }
+
+  // A direct-mapped cache fronts the series map (its nodes are stable),
+  // so most objects find their series with one hash instead of a tree walk.
   std::map<SeriesKey, TimeSeries> out;
-  for (const auto& rec : dataset.records()) {
-    const auto& apdu = rec.apdu.apdu;
-    if (apdu.format != iec104::ApduFormat::kI || !apdu.asdu) continue;
-    // Monitor direction only: data flowing from the outstation.
-    if (rec.flow.src_port != iec104::kIec104Port) continue;
-    auto type = static_cast<std::uint8_t>(apdu.asdu->type);
-    if (type >= 45) continue;  // commands / system types carry no telemetry
-    for (const auto& obj : apdu.asdu->objects) {
+  DirectMappedCache<SeriesKey, TimeSeries, 4096> series_cache;
+  const auto& records = dataset.records();
+  const auto& cols = dataset.columns();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::uint16_t type_id = cols.type_id[i];
+    // S/U frames carry no ASDU; commands and system types (>= 45) carry
+    // no telemetry.
+    if (type_id >= 45 || !monitor[cols.flow_index[i]]) continue;
+    const auto& rec = records[i];
+    const auto type = static_cast<std::uint8_t>(type_id);
+    for (const auto& obj : rec.apdu.apdu.asdu->objects) {
       double value = 0.0;
       if (!iec104::numeric_value(obj.value, value)) continue;
-      SeriesKey key{rec.flow.src_ip, obj.ioa};
-      auto& series = out[key];
-      series.type_id = type;
+      const SeriesKey key{rec.flow.src_ip, obj.ioa};
+      const std::uint64_t hash =
+          SplitMix64((static_cast<std::uint64_t>(key.station.value) << 32) | key.ioa)
+              .next();
+      TimeSeries* series = series_cache.find(key, hash);
+      if (series == nullptr) {
+        series = &out[key];
+        series_cache.put(key, hash, series);
+      }
+      series->type_id = type;
       Timestamp ts = obj.time ? obj.time->to_timestamp() : rec.ts;
-      series.points.push_back(SeriesPoint{ts, value});
+      series->points.push_back(SeriesPoint{ts, value});
     }
   }
   for (auto& [key, series] : out) {

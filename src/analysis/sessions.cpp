@@ -1,8 +1,9 @@
 #include "analysis/sessions.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <set>
+#include <map>
 
 #include "exec/pool.hpp"
 
@@ -24,86 +25,128 @@ std::string feature_name(std::size_t index) {
   return "feature_" + std::to_string(index);
 }
 
-std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset,
-                                                      exec::Pool* pool) {
-  const auto& records = dataset.records();
+namespace {
 
-  // Flatten the map so sessions can be processed by index; output order
-  // stays the map's key order regardless of execution order.
-  struct Item {
-    const std::pair<net::Ipv4Addr, net::Ipv4Addr>* key;
-    const std::vector<std::size_t>* indices;
-  };
-  std::vector<Item> items;
-  items.reserve(dataset.sessions().size());
-  for (const auto& [key, indices] : dataset.sessions()) {
-    if (indices.empty()) continue;
-    items.push_back(Item{&key, &indices});
+/// Distinct IOAs of one session, kept as a sorted, unique vector. A small
+/// direct-mapped filter of recently seen IOAs drops most repeats before
+/// they reach the vector; the rest are appended and compacted (sort +
+/// unique) whenever the unsorted tail outgrows the sorted part, so the
+/// vector stays proportional to the distinct count.
+class DistinctIoas {
+ public:
+  DistinctIoas() {
+    // Slot i starts out holding i + 1, which can never hash to slot i:
+    // an empty slot needs no sentinel that a real IOA could equal.
+    for (std::uint32_t i = 0; i < recent_.size(); ++i) recent_[i] = i + 1;
   }
 
-  auto featurize = [&records](const std::pair<net::Ipv4Addr, net::Ipv4Addr>& key,
-                              const std::vector<std::size_t>& indices) {
+  void insert(std::uint32_t ioa) {
+    auto& slot = recent_[ioa & (recent_.size() - 1)];
+    if (slot == ioa) return;
+    slot = ioa;
+    ioas_.push_back(ioa);
+    if (ioas_.size() >= 2 * sorted_ + recent_.size()) compact();
+  }
+
+  std::size_t count() {
+    compact();
+    return ioas_.size();
+  }
+
+ private:
+  void compact() {
+    std::sort(ioas_.begin(), ioas_.end());
+    ioas_.erase(std::unique(ioas_.begin(), ioas_.end()), ioas_.end());
+    sorted_ = ioas_.size();
+  }
+
+  std::array<std::uint32_t, 64> recent_;
+  std::vector<std::uint32_t> ioas_;
+  std::size_t sorted_ = 0;
+};
+
+/// Running totals of one session, in record order.
+struct SessionAccumulator {
+  bool from_server = false;
+  double bytes = 0.0;
+  std::size_t count = 0;
+  std::size_t count_i = 0, count_s = 0, count_u = 0;
+  DistinctIoas ioas;
+  double sum_dt = 0.0, sum_dt2 = 0.0;
+  std::size_t dt_n = 0;
+  Timestamp prev = 0;
+};
+
+}  // namespace
+
+std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset) {
+  // One accumulator per session, in session-map order, reached through a
+  // per-directed-flow slot table. The walk over the records is then
+  // sequential: columns for everything but the IOAs, and the record only
+  // for an I-frame's objects.
+  const auto& keys = dataset.flow_keys();
+  std::map<std::pair<net::Ipv4Addr, net::Ipv4Addr>, std::size_t> session_of;
+  for (const auto& [key, indices] : dataset.sessions()) {
+    session_of.emplace(key, session_of.size());
+  }
+  std::vector<std::size_t> slot_of_flow(keys.size());
+  for (std::size_t f = 0; f < keys.size(); ++f) {
+    slot_of_flow[f] = session_of.at({keys[f].src_ip, keys[f].dst_ip});
+  }
+  std::vector<SessionAccumulator> acc(session_of.size());
+
+  const auto& records = dataset.records();
+  const auto& cols = dataset.columns();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::uint32_t f = cols.flow_index[i];
+    auto& a = acc[slot_of_flow[f]];
+    // Direction: the outstation owns the IEC 104 port, so a sender whose
+    // flows target port 2404 is the control-server side.
+    if (a.count++ == 0) a.from_server = keys[f].dst_port == iec104::kIec104Port;
+    a.bytes += static_cast<double>(cols.wire_size[i]);
+    switch (iec104::token_format(cols.token[i])) {
+      case iec104::ApduFormat::kI: ++a.count_i; break;
+      case iec104::ApduFormat::kS: ++a.count_s; break;
+      case iec104::ApduFormat::kU: ++a.count_u; break;
+    }
+    if (cols.type_id[i] != CaptureDataset::kNoTypeId) {
+      for (const auto& obj : records[i].apdu.apdu.asdu->objects) a.ioas.insert(obj.ioa);
+    }
+    const Timestamp ts = cols.ts[i];
+    if (a.prev != 0) {
+      double dt = to_seconds(static_cast<DurationUs>(ts - a.prev));
+      a.sum_dt += dt;
+      a.sum_dt2 += dt * dt;
+      ++a.dt_n;
+    }
+    a.prev = ts;
+  }
+
+  std::vector<SessionFeatures> out;
+  out.reserve(acc.size());
+  for (const auto& [key, slot] : session_of) {
+    auto& a = acc[slot];
     SessionFeatures sf;
     sf.src = key.first;
     sf.dst = key.second;
     sf.values.assign(kFeatureCount, 0.0);
-
-    // Direction: the outstation owns the IEC 104 port, so a sender whose
-    // flows target port 2404 is the control-server side.
-    const auto& first = records[indices.front()];
-    bool from_server = first.flow.dst_port == iec104::kIec104Port;
-    sf.values[kFeatDirection] = from_server ? 1.0 : 0.0;
-
-    double bytes = 0.0;
-    std::size_t count_i = 0, count_s = 0, count_u = 0;
-    std::set<std::uint32_t> ioas;
-    double sum_dt = 0.0, sum_dt2 = 0.0;
-    std::size_t dt_n = 0;
-    Timestamp prev = 0;
-
-    for (std::size_t idx : indices) {
-      const auto& rec = records[idx];
-      bytes += static_cast<double>(rec.apdu.wire_size);
-      switch (rec.apdu.apdu.format) {
-        case iec104::ApduFormat::kI: ++count_i; break;
-        case iec104::ApduFormat::kS: ++count_s; break;
-        case iec104::ApduFormat::kU: ++count_u; break;
-      }
-      if (rec.apdu.apdu.asdu) {
-        for (const auto& obj : rec.apdu.apdu.asdu->objects) ioas.insert(obj.ioa);
-      }
-      if (prev != 0) {
-        double dt = to_seconds(static_cast<DurationUs>(rec.ts - prev));
-        sum_dt += dt;
-        sum_dt2 += dt * dt;
-        ++dt_n;
-      }
-      prev = rec.ts;
-    }
-
-    double n = static_cast<double>(indices.size());
-    double mean_dt = dt_n ? sum_dt / static_cast<double>(dt_n) : 0.0;
-    double var_dt = dt_n ? std::max(0.0, sum_dt2 / static_cast<double>(dt_n) -
-                                             mean_dt * mean_dt)
-                         : 0.0;
+    double n = static_cast<double>(a.count);
+    double mean_dt = a.dt_n ? a.sum_dt / static_cast<double>(a.dt_n) : 0.0;
+    double var_dt = a.dt_n ? std::max(0.0, a.sum_dt2 / static_cast<double>(a.dt_n) -
+                                               mean_dt * mean_dt)
+                           : 0.0;
+    sf.values[kFeatDirection] = a.from_server ? 1.0 : 0.0;
     sf.values[kFeatMeanInterArrival] = mean_dt;
     sf.values[kFeatStdInterArrival] = std::sqrt(var_dt);
-    sf.values[kFeatTotalBytes] = bytes;
+    sf.values[kFeatTotalBytes] = a.bytes;
     sf.values[kFeatPacketCount] = n;
-    sf.values[kFeatMeanApduSize] = bytes / n;
-    sf.values[kFeatPercentI] = static_cast<double>(count_i) / n;
-    sf.values[kFeatPercentS] = static_cast<double>(count_s) / n;
-    sf.values[kFeatPercentU] = static_cast<double>(count_u) / n;
-    sf.values[kFeatDistinctIoas] = static_cast<double>(ioas.size());
-    return sf;
-  };
-
-  std::vector<SessionFeatures> out(items.size());
-  exec::parallel_for(pool, items.size(), 8, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = featurize(*items[i].key, *items[i].indices);
-    }
-  });
+    sf.values[kFeatMeanApduSize] = a.bytes / n;
+    sf.values[kFeatPercentI] = static_cast<double>(a.count_i) / n;
+    sf.values[kFeatPercentS] = static_cast<double>(a.count_s) / n;
+    sf.values[kFeatPercentU] = static_cast<double>(a.count_u) / n;
+    sf.values[kFeatDistinctIoas] = static_cast<double>(a.ioas.count());
+    out.push_back(std::move(sf));
+  }
   return out;
 }
 
@@ -142,7 +185,7 @@ std::vector<std::size_t> paper_feature_selection() {
 SessionClustering cluster_sessions(const CaptureDataset& dataset, int force_k,
                                    exec::Pool* pool) {
   SessionClustering out;
-  out.sessions = extract_session_features(dataset, pool);
+  out.sessions = extract_session_features(dataset);
   out.selected_features = paper_feature_selection();
   if (out.sessions.size() < 8) return out;
 

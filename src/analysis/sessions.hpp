@@ -39,11 +39,10 @@ struct SessionFeatures {
   std::vector<double> values;  ///< kFeatureCount entries
 };
 
-/// Extracts all sessions with >= 1 APDU. Sessions are independent, so
-/// extraction fans out per session on `pool` (inline when null); the
-/// output order is the dataset's session-map order either way.
-std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset,
-                                                      exec::Pool* pool = nullptr);
+/// Extracts all sessions with >= 1 APDU, in the dataset's session-map
+/// order, from one sequential walk over the records with a per-session
+/// accumulator.
+std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset);
 
 /// Mean silhouette of clustering on a single feature (k clusters), used to
 /// rank candidate features as the paper does.
@@ -83,9 +82,9 @@ struct SessionClustering {
 };
 
 /// Runs the paper's session-clustering pipeline. `force_k` pins K (the
-/// paper uses 5); 0 lets the elbow choose. `pool` parallelizes feature
-/// extraction, the k sweep, the final k-means and the PCA — all with
-/// thread-count-invariant results.
+/// paper uses 5); 0 lets the elbow choose. `pool` parallelizes the k
+/// sweep, the final k-means and the PCA — all with thread-count-invariant
+/// results.
 SessionClustering cluster_sessions(const CaptureDataset& dataset, int force_k = 5,
                                    exec::Pool* pool = nullptr);
 

@@ -74,26 +74,32 @@ Result<std::vector<std::uint8_t>> Apdu::encode(const CodecProfile& profile) cons
   return out.take();
 }
 
-std::string Apdu::token() const {
+std::uint16_t Apdu::token_id() const {
   switch (format) {
     case ApduFormat::kS:
-      return "S";
+      return kTokenS;
     case ApduFormat::kU:
-      // Paper Table 4 names: U<function bits> (U1,U2,U4,U8,U16,U32).
-      switch (u_function) {
-        case UFunction::kStartDtAct: return "U1";
-        case UFunction::kStartDtCon: return "U2";
-        case UFunction::kStopDtAct: return "U4";
-        case UFunction::kStopDtCon: return "U8";
-        case UFunction::kTestFrAct: return "U16";
-        case UFunction::kTestFrCon: return "U32";
-      }
-      return "U?";
+      return kTokenU | static_cast<std::uint16_t>(u_function);
     case ApduFormat::kI:
-      if (asdu) return "I_" + std::to_string(static_cast<int>(asdu->type));
-      return "I_?";
+      return asdu ? static_cast<std::uint16_t>(asdu->type) : kTokenINoAsdu;
   }
-  return "?";
+  return kTokenINoAsdu;
+}
+
+std::string token_name(std::uint16_t token) {
+  if (token == kTokenS) return "S";
+  if (token == kTokenINoAsdu) return "I_?";
+  if (token < kTokenS) return "I_" + std::to_string(token);
+  // Paper Table 4 names: U<function bits> (U1,U2,U4,U8,U16,U32).
+  switch (static_cast<UFunction>(token & 0xff)) {
+    case UFunction::kStartDtAct: return "U1";
+    case UFunction::kStartDtCon: return "U2";
+    case UFunction::kStopDtAct: return "U4";
+    case UFunction::kStopDtCon: return "U8";
+    case UFunction::kTestFrAct: return "U16";
+    case UFunction::kTestFrCon: return "U32";
+  }
+  return "U?";
 }
 
 std::string Apdu::str() const {

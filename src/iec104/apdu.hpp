@@ -17,6 +17,23 @@ enum class ApduFormat { kI, kS, kU };
 
 std::string format_name(ApduFormat f);
 
+/// Paper Table 4 token as a small integer, for dense per-token tables. An
+/// I-format token is its typeID (0..255); the other tokens sit above that
+/// range. Every id is below kTokenSpace.
+constexpr std::uint16_t kTokenS = 0x100;
+constexpr std::uint16_t kTokenINoAsdu = 0x101;  ///< I-format without an ASDU
+constexpr std::uint16_t kTokenU = 0x200;        ///< | the U function bits
+constexpr std::size_t kTokenSpace = 0x300;
+
+/// The APDU format a token id stands for.
+constexpr ApduFormat token_format(std::uint16_t token) {
+  if (token == kTokenS) return ApduFormat::kS;
+  return token >= kTokenU ? ApduFormat::kU : ApduFormat::kI;
+}
+
+/// Table 4 name of a token id: "S", "U1".."U32", or "I_36".
+std::string token_name(std::uint16_t token);
+
 /// A decoded APDU. For I-format, `asdu` is present (unless the ASDU failed
 /// to decode, which the stream parser reports separately).
 struct Apdu {
@@ -39,7 +56,9 @@ struct Apdu {
       const CodecProfile& profile = CodecProfile::standard()) const;
 
   /// Paper Table 4 token: "S", "U1".."U32", or "I_36".
-  std::string token() const;
+  std::string token() const { return token_name(token_id()); }
+  /// The same token as a small integer (see kTokenSpace).
+  std::uint16_t token_id() const;
 
   std::string str() const;
 };

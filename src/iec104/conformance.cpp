@@ -478,8 +478,12 @@ void ConformanceMachine::on_apdu(Timestamp ts, bool from_controller,
   }
 
   if (!profile.is_standard()) {
+    // flag() keeps the first occurrence's detail only, so the string is
+    // built once per machine, not once per legacy frame.
     flag(ViolationCode::kLegacyProfile, ts,
-         "decoded with legacy profile " + profile.str());
+         profile_.find(ViolationCode::kLegacyProfile) != nullptr
+             ? std::string()
+             : "decoded with legacy profile " + profile.str());
   }
   if (apdu.asdu) {
     Direction direction = from_controller ? Direction::kFromController

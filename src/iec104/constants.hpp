@@ -124,11 +124,11 @@ enum class UFunction : std::uint8_t {
 
 std::string u_function_name(UFunction f);
 
-/// Default IEC 104 timer values in seconds (§4 of the paper).
+/// Default IEC 104 timer values in seconds (§4 of the paper): the two a
+/// passive observer can judge. The connect timeout t0 (30 s) and the
+/// send/test timeout t1 (15 s) only bound an active endpoint.
 struct Timers {
-  double t0 = 30.0;  ///< connection establishment timeout
-  double t1 = 15.0;  ///< send/test APDU timeout
-  double t2 = 10.0;  ///< acknowledgement timeout (t2 < t1)
+  double t2 = 10.0;  ///< acknowledgement timeout (shorter than t1)
   double t3 = 20.0;  ///< keep-alive idle timeout
 };
 

@@ -295,6 +295,12 @@ TEST(Conformance, LegacyProfilesAreWhitelisted) {
   m.on_apdu(ts += kStep, false, i_frame(1), CodecProfile::legacy_ioa());
   EXPECT_EQ(m.verdict(), Verdict::kLegacy);
   EXPECT_EQ(m.profile().legacy_events, 2u);
+  // One record per code, carrying the first frame's profile as its detail.
+  const auto* legacy = m.profile().find(ViolationCode::kLegacyProfile);
+  ASSERT_NE(legacy, nullptr);
+  EXPECT_EQ(legacy->count, 2u);
+  EXPECT_EQ(legacy->detail,
+            "decoded with legacy profile " + CodecProfile::legacy_cot().str());
 
   ConformancePolicy strict;
   strict.whitelist_legacy_profiles = false;
